@@ -11,9 +11,7 @@ namespace edde {
 namespace {
 
 // v3: magic + CRC-framed sections, fp16-capable, atomically committed.
-// v2: plain unframed stream, fp32 only — still accepted on read.
 constexpr uint32_t kEnsembleMagicV3 = 0xEDDE0003;
-constexpr uint32_t kEnsembleMagicV2 = 0xEDDE0002;
 constexpr uint32_t kTagHeader = 1;
 constexpr uint32_t kTagMember = 2;
 constexpr uint32_t kFormatVersion = 1;
@@ -44,55 +42,6 @@ int64_t DeriveNumClasses(const std::vector<Parameter*>& params) {
   return 0;
 }
 
-Result<EnsembleModel> LoadEnsembleV2(BinaryReader* reader,
-                                     const ModelFactory& factory) {
-  uint64_t members = 0;
-  if (!reader->ReadU64(&members)) return reader->status();
-  if (members == 0 || members > kMaxMembers) {
-    return Status::Corruption("implausible ensemble size");
-  }
-
-  EnsembleModel ensemble;
-  for (uint64_t t = 0; t < members; ++t) {
-    float alpha = 0.0f;
-    if (!reader->ReadF32(&alpha)) return reader->status();
-    if (!(alpha > 0.0f)) {
-      return Status::Corruption("non-positive member weight");
-    }
-    std::unique_ptr<Module> member = factory(/*seed=*/t);
-    auto params = member->Parameters();
-    uint64_t count = 0;
-    if (!reader->ReadU64(&count)) return reader->status();
-    if (count != params.size()) {
-      return Status::InvalidArgument(
-          "factory architecture does not match checkpoint: " +
-          std::to_string(count) + " vs " + std::to_string(params.size()) +
-          " parameter blocks");
-    }
-    for (Parameter* p : params) {
-      std::string name;
-      if (!reader->ReadString(&name)) return reader->status();
-      uint64_t rank = 0;
-      if (!reader->ReadU64(&rank)) return reader->status();
-      if (rank > 8) return Status::Corruption("implausible tensor rank");
-      std::vector<int64_t> dims(rank);
-      for (auto& d : dims) {
-        if (!reader->ReadI64(&d)) return reader->status();
-        if (d < 0) return Status::Corruption("negative dimension");
-      }
-      if (Shape(dims) != p->value.shape()) {
-        return Status::InvalidArgument("parameter shape mismatch for " + name);
-      }
-      if (!reader->ReadFloats(p->value.data(),
-                              static_cast<size_t>(p->value.num_elements()))) {
-        return reader->status();
-      }
-    }
-    ensemble.AddMember(std::move(member), alpha);
-  }
-  return ensemble;
-}
-
 }  // namespace
 
 int64_t DerivedInputDim(const EnsembleModel& ensemble) {
@@ -113,18 +62,6 @@ Result<EnsembleArtifactInfo> ReadEnsembleArtifactInfo(
   if (!reader.ReadU32(&magic)) return reader.status();
 
   EnsembleArtifactInfo info;
-  if (magic == kEnsembleMagicV2) {
-    // v2 has no framing and records nothing beyond the member count; the
-    // only cheap check available is plausibility.
-    info.format = 2;
-    uint64_t members = 0;
-    if (!reader.ReadU64(&members)) return reader.status();
-    if (members == 0 || members > kMaxMembers) {
-      return Status::Corruption("implausible ensemble size");
-    }
-    info.members = static_cast<int64_t>(members);
-    return info;
-  }
   if (magic != kEnsembleMagicV3) {
     return Status::Corruption("bad ensemble magic");
   }
@@ -218,7 +155,6 @@ Result<EnsembleModel> LoadEnsemble(const std::string& path,
   if (!reader.status().ok()) return reader.status();
   uint32_t magic = 0;
   if (!reader.ReadU32(&magic)) return reader.status();
-  if (magic == kEnsembleMagicV2) return LoadEnsembleV2(&reader, factory);
   if (magic != kEnsembleMagicV3) {
     return Status::Corruption("bad ensemble magic");
   }

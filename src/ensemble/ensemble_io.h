@@ -31,8 +31,7 @@ struct EnsembleSaveOptions {
 /// durable_io): one header section (member count, dtype, the input feature
 /// dim and class count derived from the first member) and one section per
 /// member. The file is committed atomically; a torn or bit-flipped file is
-/// detected by the frame CRCs on load. Files written by the previous plain
-/// v2 format are still readable.
+/// detected by the frame CRCs on load.
 Status SaveEnsemble(const EnsembleModel& ensemble, const std::string& path,
                     const EnsembleSaveOptions& options);
 
@@ -42,17 +41,17 @@ inline Status SaveEnsemble(const EnsembleModel& ensemble,
 }
 
 /// What an ensemble artifact says about itself, readable without
-/// constructing any member module. v3 files also get a full CRC scan of
+/// constructing any member module. The file also gets a full CRC scan of
 /// every section (utils/durable_io::VerifyFramedSections), so a torn or
 /// bit-flipped artifact is rejected here — cheaply — before a caller
 /// commits to the expensive LoadEnsemble. This is the validation gate the
 /// serving layer runs ahead of a hot model swap.
 struct EnsembleArtifactInfo {
-  uint32_t format = 0;  ///< 2 (legacy plain stream) or 3 (CRC-framed)
+  uint32_t format = 0;  ///< 3 (CRC-framed; the only format read)
   int64_t members = 0;
   ArtifactDtype dtype = ArtifactDtype::kFloat32;
-  int64_t input_dim = 0;    ///< 0 = unknown (v2 files don't record it)
-  int64_t num_classes = 0;  ///< 0 = unknown (v2)
+  int64_t input_dim = 0;
+  int64_t num_classes = 0;
 };
 
 Result<EnsembleArtifactInfo> ReadEnsembleArtifactInfo(const std::string& path);

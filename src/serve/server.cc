@@ -38,6 +38,7 @@ InferenceServer::InferenceServer(const EnsembleModel* model,
                                                      }),
                 "(initial)"),
       expected_precision_(model->precision()),
+      expected_input_fan_in_(DerivedInputDim(*model)),
       input_dim_(input_dim),
       num_classes_(num_classes),
       config_(config),
@@ -48,13 +49,8 @@ InferenceServer::InferenceServer(const EnsembleModel* model,
   EDDE_CHECK_GT(input_dim_, 0);
   EDDE_CHECK_GT(num_classes_, 0);
   num_workers_ = std::max(1, config_.num_batch_workers);
-  pipelined_ = config_.cascade && num_workers_ > 1;
   max_inflight_ =
-      config_.max_inflight_batches > 0
-          ? config_.max_inflight_batches
-          : (num_workers_ == 1 ? 1 : 2 * static_cast<int64_t>(num_workers_));
-  EDDE_CHECK_GE(max_inflight_, num_workers_)
-      << "fewer in-flight batches than workers would idle the pool";
+      num_workers_ == 1 ? 1 : 2 * static_cast<int64_t>(num_workers_);
 }
 
 InferenceServer::~InferenceServer() { Stop(); }
@@ -100,7 +96,6 @@ Status InferenceServer::Start() {
                  << " (members=" << gen->model->size()
                  << " cascade=" << (config_.cascade ? "on" : "off")
                  << " workers=" << num_workers_
-                 << (pipelined_ ? " pipelined" : "")
                  << (http_ ? " http=" + std::to_string(http_->port()) : "")
                  << ")";
   return Status::OK();
@@ -130,13 +125,15 @@ Status InferenceServer::Reload(std::shared_ptr<const EnsembleModel> model,
     // Geometry check against the weight shapes themselves (the request
     // validation path pins input_dim_/num_classes_, so a model with other
     // shapes would EDDE_CHECK-crash inside a worker — reject it here
-    // instead). 0 = the architecture has no rank ≥ 2 parameter to derive
-    // from; nothing to cross-check then.
+    // instead). The input side compares fan-ins with the serving model's,
+    // not with the request width: a TextCNN's first weight is its
+    // embedding table and a conv stem's is C·k², neither of which is the
+    // request's feature count.
     const int64_t derived_dim = DerivedInputDim(*model);
-    if (derived_dim != 0 && derived_dim != input_dim_) {
+    if (derived_dim != expected_input_fan_in_) {
       return Status::FailedPrecondition(
-          "reload candidate input dim " + std::to_string(derived_dim) +
-          " != serving input dim " + std::to_string(input_dim_));
+          "reload candidate input fan-in " + std::to_string(derived_dim) +
+          " != serving model's " + std::to_string(expected_input_fan_in_));
     }
     const int64_t derived_classes = DerivedNumClasses(*model);
     if (derived_classes != 0 && derived_classes != num_classes_) {
@@ -393,10 +390,11 @@ void InferenceServer::DispatchLoop() {
   std::vector<PendingRequest> batch;
   for (;;) {
     {
-      // The in-flight cap is the knob that makes workers=1 exactly the
-      // historical schedule: with max_inflight_ == 1 the next batch is
-      // not even popped until the previous one has been answered, so
-      // deadline coalescing sees the same queue the serial server did.
+      // The in-flight cap makes workers=1 the serial schedule: with
+      // max_inflight_ == 1 the next batch is not even popped until the
+      // previous one has been answered, so the lone worker pops the same
+      // batch back after each stage and deadline coalescing sees the same
+      // queue a serial server would.
       std::unique_lock<std::mutex> lock(sched_mu_);
       inflight_cv_.wait(lock, [&] { return inflight_ < max_inflight_; });
     }
@@ -466,35 +464,24 @@ bool InferenceServer::RunTaskStep(BatchTask* task, WorkerState* worker) {
   static const TraceRegion* const batch_region =
       GetTraceRegion("serve/batch");
   // A batch of one request — the common low-load shape — is entirely that
-  // request's work, so its id becomes the ambient tag and the batch /
-  // predict / member spans inherit it. A coalesced batch serves many ids
-  // at once; tagging it with one of them would lie, so it stays untagged
-  // and the per-request queue_wait / request spans carry the ids instead.
+  // request's work, so its id becomes the ambient tag and the batch and
+  // member spans inherit it. A coalesced batch serves many ids at once;
+  // tagging it with one of them would lie, so it stays untagged and the
+  // per-request queue_wait / request spans carry the ids instead.
   const uint64_t solo_id =
       task->batch.size() == 1 ? task->batch[0].request.trace_id : 0;
   ScopedTraceId batch_trace(solo_id);
   const auto quantum_start = std::chrono::steady_clock::now();
-  bool done;
-  if (pipelined_) {
-    if (!task->started) StartTask(task);
-    // total_rows == 0: every request was shed at dispatch (deadline
-    // expiry) and answered from StartTask — nothing to evaluate.
-    done = task->total_rows == 0 || RunCascadeStage(task);
-    if (done) {
-      if (task->total_rows > 0) FinalizeBatch(task);
-      // The batch span spans every stage quantum; emitted complete since
-      // the stages ran on whichever workers picked them up.
-      TraceCompleteSpan(batch_region, task->exec_start,
-                        std::chrono::steady_clock::now(), solo_id);
-    }
-  } else {
-    TraceScope batch_scope(batch_region);
-    if (!task->started) StartTask(task);
-    if (task->total_rows > 0) {
-      RunBatchInline(task);
-      FinalizeBatch(task);
-    }
-    done = true;
+  if (!task->started) StartTask(task);
+  // total_rows == 0: every request was shed at dispatch (deadline expiry)
+  // and answered from StartTask — nothing to evaluate.
+  const bool done = task->total_rows == 0 || RunMemberStage(task);
+  if (done) {
+    if (task->total_rows > 0) FinalizeBatch(task);
+    // The batch span covers every stage quantum; emitted complete since
+    // the stages ran on whichever workers picked them up.
+    TraceCompleteSpan(batch_region, task->exec_start,
+                      std::chrono::steady_clock::now(), solo_id);
   }
   worker->stages->Increment();
   worker->busy_seconds->Record(SecondsSince(quantum_start));
@@ -574,88 +561,61 @@ void InferenceServer::StartTask(BatchTask* task) {
       task->gen->model->alphas(), total_rows, num_classes_);
 }
 
-bool InferenceServer::RunCascadeStage(BatchTask* task) {
+bool InferenceServer::RunMemberStage(BatchTask* task) {
   static const TraceRegion* const member_region =
       GetTraceRegion("serve/member");
-  // Descending-α order, one member per call. After the first member, each
-  // subsequent one sees only the still-undecided rows (gathered into a
-  // compacted batch), so a row stops costing forward passes the moment
-  // its margin clears the outstanding α mass. Row outputs are
-  // batch-composition-independent (each row's GEMM/softmax reads only its
-  // own inputs), so compaction never perturbs a probability — and neither
-  // does which worker runs the stage.
+  // The next `width` members in descending-α order, folded into the
+  // accumulator in that same order. The mode shows only here: the cascade
+  // runs one member on the still-undecided rows (gathered into a compacted
+  // batch), so a row stops costing forward passes the moment its margin
+  // clears the outstanding α mass; full evaluation runs every remaining
+  // member on the whole batch, fanned out over the shared pool. Row outputs
+  // are batch-composition-independent (each row's GEMM/softmax reads only
+  // its own inputs), so neither compaction nor which worker runs the stage
+  // perturbs a probability.
   PartialPredictAccumulator& acc = *task->acc;
-  const std::vector<int64_t>& order = acc.order();
-  const size_t next = static_cast<size_t>(acc.members_consumed());
-  if (next >= order.size()) return true;
-  const int64_t member = order[next];
-  const std::vector<int64_t>& open = acc.UndecidedRows();
-  Tensor input;
-  if (static_cast<int64_t>(open.size()) == task->total_rows) {
-    input = task->features;
-  } else {
-    input = Tensor(Shape{static_cast<int64_t>(open.size()), input_dim_});
-    float* dst = input.data();
-    for (const int64_t r : open) {
-      std::memcpy(dst, task->features.data() + r * input_dim_,
-                  static_cast<size_t>(input_dim_) * sizeof(float));
-      dst += input_dim_;
+  const int64_t first = acc.members_consumed();
+  const int64_t width = config_.cascade ? 1 : acc.num_members() - first;
+  const Tensor input =
+      config_.cascade ? UndecidedFeatures(*task) : task->features;
+  const int64_t rows = input.shape().dim(0);
+  std::vector<Tensor> probs(static_cast<size_t>(width));
+  ParallelFor(0, width, 1, [&](int64_t s0, int64_t s1) {
+    for (int64_t s = s0; s < s1; ++s) {
+      const int64_t member = acc.order()[static_cast<size_t>(first + s)];
+      MetricsRegistry::Global()
+          .GetCounter("serve.member_rows." + std::to_string(member))
+          ->Increment(rows);
+      TraceScope member_scope(member_region);
+      // Layer Forward caches activations in the module even at inference,
+      // so two batches on the same member must take turns on it. Outputs
+      // are unaffected: each call still reads only its own input rows (the
+      // lock orders the calls, it doesn't mix them). The locks belong to
+      // the batch's pinned generation — two batches on different
+      // generations touch different module objects entirely.
+      std::lock_guard<std::mutex> lock(
+          task->gen->member_mu[static_cast<size_t>(member)]);
+      probs[static_cast<size_t>(s)] =
+          task->gen->model->MemberProbsOnBatch(member, input);
     }
-  }
-  MetricsRegistry::Global()
-      .GetCounter("serve.member_rows." + std::to_string(member))
-      ->Increment(static_cast<int64_t>(open.size()));
-  TraceScope member_scope(member_region);
-  Tensor probs;
-  {
-    // Layer Forward caches activations in the module even at inference,
-    // so two batches at the same pipeline stage must take turns on that
-    // member. Outputs are unaffected: each call still reads only its own
-    // input rows (the lock orders the calls, it doesn't mix them). The
-    // locks belong to the batch's pinned generation — two batches on
-    // different generations touch different module objects entirely.
-    std::lock_guard<std::mutex> lock(
-        task->gen->member_mu[static_cast<size_t>(member)]);
-    probs = task->gen->model->MemberProbsOnBatch(member, input);
-  }
-  const bool all_decided = acc.Accumulate(probs);
-  return all_decided ||
-         static_cast<size_t>(acc.members_consumed()) >= order.size();
+  });
+  for (const Tensor& p : probs) acc.Accumulate(p);
+  return acc.all_decided() || acc.members_consumed() == acc.num_members();
 }
 
-void InferenceServer::RunBatchInline(BatchTask* task) {
-  static const TraceRegion* const predict_region =
-      GetTraceRegion("serve/predict");
-  static const TraceRegion* const member_region =
-      GetTraceRegion("serve/member");
-  TraceScope predict_scope(predict_region);
-  if (config_.cascade) {
-    while (!RunCascadeStage(task)) {
-    }
-  } else {
-    // Full evaluation, fanned out over the shared pool; the accumulator
-    // still consumes in α order so both modes share one reduction path.
-    PartialPredictAccumulator& acc = *task->acc;
-    const int64_t num_members = task->gen->model->size();
-    std::vector<Tensor> probs(static_cast<size_t>(num_members));
-    ParallelFor(0, num_members, 1, [&](int64_t t0, int64_t t1) {
-      for (int64_t t = t0; t < t1; ++t) {
-        MetricsRegistry::Global()
-            .GetCounter("serve.member_rows." + std::to_string(t))
-            ->Increment(task->total_rows);
-        TraceScope member_scope(member_region);
-        // Same per-member discipline as the cascade path: with workers>1
-        // two full-eval batches fan out over the same members at once.
-        std::lock_guard<std::mutex> lock(
-            task->gen->member_mu[static_cast<size_t>(t)]);
-        probs[static_cast<size_t>(t)] =
-            task->gen->model->MemberProbsOnBatch(t, task->features);
-      }
-    });
-    for (const int64_t member : acc.order()) {
-      acc.Accumulate(probs[static_cast<size_t>(member)]);
-    }
+Tensor InferenceServer::UndecidedFeatures(const BatchTask& task) const {
+  const std::vector<int64_t>& open = task.acc->UndecidedRows();
+  if (static_cast<int64_t>(open.size()) == task.total_rows) {
+    return task.features;
   }
+  Tensor input(Shape{static_cast<int64_t>(open.size()), input_dim_});
+  float* dst = input.data();
+  for (const int64_t r : open) {
+    std::memcpy(dst, task.features.data() + r * input_dim_,
+                static_cast<size_t>(input_dim_) * sizeof(float));
+    dst += input_dim_;
+  }
+  return input;
 }
 
 void InferenceServer::FinalizeBatch(BatchTask* task) {
@@ -827,7 +787,6 @@ std::string InferenceServer::StatuszJson() const {
   server.Add("cascade", config_.cascade);
   server.Add("num_batch_workers", static_cast<int64_t>(num_workers_));
   server.Add("max_inflight_batches", max_inflight_);
-  server.Add("pipelined_cascade", pipelined_);
   server.Add("max_batch_rows", config_.max_batch_rows);
   server.Add("max_queue_rows", config_.max_queue_rows);
   server.Add("queue_rows", queue_.queued_rows());

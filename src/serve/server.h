@@ -46,26 +46,22 @@ struct ServerConfig {
   int64_t max_request_rows = 1024;
   /// Queued-row cap; Submits beyond it get an overload error response.
   int64_t max_queue_rows = 4096;
-  /// α-ordered early-exit cascade (DESIGN.md §12). Off = always evaluate
-  /// every member, fanned out on the thread pool. The argmax (and thus
-  /// every served label) is identical either way — the cascade's decision
-  /// rule is exact; only latency and the depth histogram change.
+  /// α-ordered early-exit cascade (DESIGN.md §12): a batch's member stage
+  /// is one member on its still-undecided rows. Off = one stage of every
+  /// member on every row, fanned out on the thread pool. The argmax (and
+  /// thus every served label) is identical either way — the cascade's
+  /// decision rule is exact; only latency and the depth histogram change.
   bool cascade = true;
-  /// Batch workers consuming the admission queue concurrently
-  /// (DESIGN.md §15). 1 (the default) is the strictly serial schedule the
-  /// server always had; N > 1 runs batches concurrently and, in cascade
-  /// mode, pipelines member stages across workers (worker B runs member
-  /// m−1 of batch i+1 while worker A runs member m of batch i).
-  /// Predictions are bit-identical at any worker count — per-connection
-  /// ordering is restored by the sequence-numbered response writer — only
-  /// latency and the per-worker telemetry change.
+  /// Batch workers running member stages (DESIGN.md §15). Workers pop a
+  /// batch, run one stage and put it back, so with N > 1 stages of
+  /// different batches overlap (worker B runs member m−1 of batch i+1
+  /// while worker A runs member m of batch i). Batches in flight are
+  /// capped at 1 for one worker — a batch completes before the next is
+  /// popped — and 2 × N otherwise. Predictions are bit-identical at any
+  /// worker count — per-connection ordering is restored by the
+  /// sequence-numbered response writer — only latency and the per-worker
+  /// telemetry change.
   int num_batch_workers = 1;
-  /// Batches in flight at once (popped from the queue but not yet fully
-  /// answered). 0 = auto: 1 with a single worker (a batch completes
-  /// before the next is popped — exactly the historical schedule), else
-  /// 2 × num_batch_workers so the member-stage pipeline always has a
-  /// batch to interleave when one exits early.
-  int max_inflight_batches = 0;
   /// Observability plane (DESIGN.md §14): embedded HTTP listener serving
   /// GET /metrics (Prometheus exposition), /healthz (readiness),
   /// /statusz (JSON status) and /reloadz (hot-reload trigger, §16).
@@ -104,12 +100,13 @@ struct ServerConfig {
 /// Threads: one acceptor, one reader per connection, one batch dispatcher,
 /// and `num_batch_workers` batch workers. Readers parse + validate frames
 /// and Submit them to the AdmissionQueue; the dispatcher coalesces them
-/// into batches (batcher.h) and hands each batch to the worker pool, which
-/// runs the ensemble — cascade order with early exit (member stages
-/// pipelined across workers), or full-member fan-out on the shared thread
-/// pool — and releases each response through its origin connection's
-/// ordered writer (admission-order sequence numbers, so a slow batch can
-/// never reorder a connection's replies).
+/// into batches (batcher.h) and hands each batch to the worker pool. A
+/// worker runs one member stage of a batch at a time — the next member on
+/// the undecided rows with cascade on, every member fanned out on the
+/// shared thread pool with it off — and either puts the batch back or
+/// releases each response through its origin connection's ordered writer
+/// (admission-order sequence numbers, so a slow batch can never reorder a
+/// connection's replies).
 ///
 /// Telemetry (metrics/trace stack): serve.requests / serve.rows /
 /// serve.errors / serve.batches counters, serve.queue_rows /
@@ -118,7 +115,7 @@ struct ServerConfig {
 /// serve.members_evaluated histograms, per-worker
 /// serve.worker.{batches,stages}.<i> counters and
 /// serve.worker.busy_seconds.<i> histograms, trace regions serve/batch and
-/// serve/predict on per-worker timeline tracks ("serve/worker <i>").
+/// serve/member on per-worker timeline tracks ("serve/worker-<i>").
 class InferenceServer {
  public:
   /// `model` must outlive the server and satisfy CheckPredictable();
@@ -155,9 +152,9 @@ class InferenceServer {
   /// closes every connection and joins all threads. Idempotent.
   void Stop();
 
-  /// Hot model reload (DESIGN.md §16): validates `model` — geometry
-  /// derived from its weight shapes must match the serving
-  /// input_dim/num_classes, its precision must match the generation it
+  /// Hot model reload (DESIGN.md §16): validates `model` — the first-layer
+  /// fan-in derived from its weight shapes must match the initial model's,
+  /// its class count the serving num_classes, its precision the generation it
   /// replaces, and it must satisfy CheckPredictable() — then atomically
   /// publishes it as the next generation. In-flight batches finish on the
   /// generation they started with; batches formed after the swap use the
@@ -198,8 +195,8 @@ class InferenceServer {
 
   /// One coalesced batch moving through the worker pool. Built lazily on
   /// first worker touch (exec_start is what queue-wait is measured to);
-  /// in pipelined cascade mode the task bounces between the ready deque
-  /// and workers, one member stage per hop.
+  /// the task bounces between the ready deque and workers, one member
+  /// stage per hop.
   struct BatchTask {
     std::vector<PendingRequest> batch;
     int64_t total_rows = 0;
@@ -227,17 +224,17 @@ class InferenceServer {
   void DispatchLoop();
   void WorkerLoop(int worker_id);
   /// Lazily initializes the task (queue-wait spans, batch metrics,
-  /// feature gather, accumulator) and runs one scheduling quantum: a
-  /// single member stage in pipelined cascade mode, the whole batch
-  /// otherwise. Returns true when the batch is finished and answered.
+  /// feature gather, accumulator) and runs one member stage. Returns true
+  /// when the batch is finished and answered.
   bool RunTaskStep(BatchTask* task, WorkerState* worker);
   void StartTask(BatchTask* task);
-  /// Runs the historical whole-batch schedule (cascade loop or full
-  /// fan-out) to completion.
-  void RunBatchInline(BatchTask* task);
-  /// Evaluates the next cascade member on the still-undecided rows.
-  /// Returns true once every row is decided or the chain is exhausted.
-  bool RunCascadeStage(BatchTask* task);
+  /// Evaluates the next member (cascade) or every remaining member (full)
+  /// and folds them into the accumulator in α order. Returns true once
+  /// every row is decided or the chain is exhausted.
+  bool RunMemberStage(BatchTask* task);
+  /// The batch's still-undecided rows, gathered (the features themselves
+  /// while every row is open).
+  Tensor UndecidedFeatures(const BatchTask& task) const;
   /// Builds and releases every response of a finished batch.
   void FinalizeBatch(BatchTask* task);
   static void WriteOrdered(Connection* conn, uint64_t seq,
@@ -252,6 +249,10 @@ class InferenceServer {
   /// Serving precision, captured from the initial model: reload candidates
   /// must match it (a reload must never silently flip int8 ↔ fp32).
   const Precision expected_precision_;
+  /// The initial model's first-layer fan-in (DerivedInputDim): a reload
+  /// candidate must match it. Not input_dim_ — a TextCNN or conv stem's
+  /// fan-in is not its request width.
+  const int64_t expected_input_fan_in_;
   const int64_t input_dim_;
   const int64_t num_classes_;
   const ServerConfig config_;
@@ -259,9 +260,6 @@ class InferenceServer {
   std::mutex reload_mu_;
   int num_workers_ = 1;
   int64_t max_inflight_ = 1;
-  /// Member-stage pipelining is worth its scheduling hops only when a
-  /// second worker can actually overlap stages.
-  bool pipelined_ = false;
 
   AdmissionQueue queue_;
   UniqueFd listener_;

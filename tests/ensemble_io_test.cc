@@ -3,6 +3,7 @@
 #include <cstring>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/edde.h"
@@ -10,7 +11,6 @@
 #include "nn/mlp.h"
 #include "test_util.h"
 #include "utils/durable_io.h"
-#include "utils/serialize.h"
 
 namespace edde {
 namespace {
@@ -79,13 +79,30 @@ TEST(EnsembleIoTest, MissingFileIsIOError) {
 }
 
 TEST(EnsembleIoTest, GarbageMagicIsCorruption) {
-  const std::string path = TempPath("ens_garbage.bin");
-  FILE* f = fopen(path.c_str(), "wb");
-  fwrite("garbage-not-an-ensemble", 1, 23, f);
-  fclose(f);
-  Result<EnsembleModel> r = LoadEnsemble(path, SmallFactory());
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  // Arbitrary bytes, and a file of the retired plain-stream format (magic
+  // 0xEDDE0002 followed by a member count): both readers reject each on
+  // its magic word.
+  std::string retired_v2(12, '\0');
+  const uint32_t v2_magic = 0xEDDE0002u;
+  const uint64_t v2_members = 2;
+  std::memcpy(&retired_v2[0], &v2_magic, sizeof(v2_magic));
+  std::memcpy(&retired_v2[4], &v2_members, sizeof(v2_members));
+  for (const std::string& bytes :
+       {std::string("garbage-not-an-ensemble"), retired_v2}) {
+    const std::string path = TempPath("ens_garbage.bin");
+    FILE* f = fopen(path.c_str(), "wb");
+    fwrite(bytes.data(), 1, bytes.size(), f);
+    fclose(f);
+    Result<EnsembleModel> r = LoadEnsemble(path, SmallFactory());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(r.status().message().find("bad ensemble magic"),
+              std::string::npos)
+        << r.status();
+    Result<EnsembleArtifactInfo> info = ReadEnsembleArtifactInfo(path);
+    ASSERT_FALSE(info.ok());
+    EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(EnsembleIoTest, WrongFactoryArchitectureIsInvalidArgument) {
@@ -287,48 +304,6 @@ TEST(EnsembleIoFp16Test, TruncatedFp16SectionIsCorruptionNotOom) {
   }
 }
 
-TEST(EnsembleIoFp16Test, LegacyV2FileStillLoads) {
-  // Files written by the pre-section format (magic 0xEDDE0002, plain
-  // unframed fp32 stream) must keep loading bit-exactly. Craft one by hand
-  // exactly as the old writer did.
-  EnsembleModel original = MakeTrainedish(2);
-  const std::string path = TempPath("ens_v2_legacy.bin");
-  {
-    BinaryWriter writer(path);
-    writer.WriteU32(0xEDDE0002u);
-    writer.WriteU64(static_cast<uint64_t>(original.size()));
-    for (int64_t t = 0; t < original.size(); ++t) {
-      writer.WriteF32(static_cast<float>(original.alpha(t)));
-      auto params = original.member(t)->Parameters();
-      writer.WriteU64(params.size());
-      for (Parameter* p : params) {
-        writer.WriteString(p->name);
-        const auto& dims = p->value.shape().dims();
-        writer.WriteU64(dims.size());
-        for (int64_t d : dims) writer.WriteI64(d);
-        writer.WriteFloats(p->value.data(),
-                           static_cast<size_t>(p->value.num_elements()));
-      }
-    }
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-
-  Result<EnsembleModel> loaded = LoadEnsemble(path, SmallFactory());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EnsembleModel restored = std::move(loaded).ValueOrDie();
-  ASSERT_EQ(restored.size(), 2);
-  const auto data = MakeBlobsSplit(16, 0, 6, 3, 1);
-  Tensor p_orig = original.PredictProbs(data.train);
-  Tensor p_rest = restored.PredictProbs(data.train);
-  for (int64_t i = 0; i < p_orig.num_elements(); ++i) {
-    EXPECT_FLOAT_EQ(p_orig.at(i), p_rest.at(i));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Artifact inspection (hot-reload preflight, DESIGN.md §16)
-// ---------------------------------------------------------------------------
-
 TEST(EnsembleIoInfoTest, ReportsHeaderAndVerifiesEveryFrame) {
   EnsembleModel original = MakeTrainedish(3);
   const std::string path = TempPath("ens_info.bin");
@@ -358,24 +333,6 @@ TEST(EnsembleIoInfoTest, CorruptMemberSectionFailsTheInfoScan) {
   Result<EnsembleArtifactInfo> info = ReadEnsembleArtifactInfo(path);
   ASSERT_FALSE(info.ok());
   EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
-}
-
-TEST(EnsembleIoInfoTest, LegacyV2ReportsFormatWithoutGeometry) {
-  EnsembleModel original = MakeTrainedish(2);
-  const std::string path = TempPath("ens_info_v2.bin");
-  {
-    BinaryWriter writer(path);
-    writer.WriteU32(0xEDDE0002u);
-    writer.WriteU64(2);
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  Result<EnsembleArtifactInfo> info = ReadEnsembleArtifactInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info.ValueOrDie().format, 2u);
-  EXPECT_EQ(info.ValueOrDie().members, 2);
-  // v2 carries no geometry header; 0 means "unknown, validate after load".
-  EXPECT_EQ(info.ValueOrDie().input_dim, 0);
-  EXPECT_EQ(info.ValueOrDie().num_classes, 0);
 }
 
 TEST(EnsembleIoInfoTest, DerivedGeometryMatchesFactoryConfig) {

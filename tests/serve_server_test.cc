@@ -17,6 +17,7 @@
 
 #include "ensemble/ensemble_model.h"
 #include "nn/mlp.h"
+#include "nn/textcnn.h"
 #include "serve/client.h"
 #include "serve/http.h"
 #include "serve/server.h"
@@ -563,16 +564,17 @@ TEST_F(ServeServerTest, ResponsesBitIdenticalAcrossWorkerCounts) {
   // The worker-pool acceptance bar: the same pipelined request stream
   // served by 1 worker and by 4 (member stages interleaved across
   // batches) must yield identical labels, cascade depths, and probability
-  // bits for every request. Frames are sent back-to-back before any read
-  // so batches coalesce however the pool's timing falls — the responses
-  // must not care.
+  // bits for every request, in cascade and full mode alike. Frames are
+  // sent back-to-back before any read so batches coalesce however the
+  // pool's timing falls — the responses must not care.
   const EnsembleModel model = MakeModel();
   const Dataset data = MakeBlobs(30, kDim, kClasses, 16);
   constexpr int kRequests = 10;  // 3 rows each
 
-  auto serve_stream = [&](int workers) {
+  auto serve_stream = [&](int workers, bool cascade) {
     serve::ServerConfig config;
     config.max_batch_rows = 8;
+    config.cascade = cascade;
     config.num_batch_workers = workers;
     serve::InferenceServer server(&model, kDim, kClasses, config);
     EXPECT_TRUE(server.Start().ok());
@@ -598,17 +600,20 @@ TEST_F(ServeServerTest, ResponsesBitIdenticalAcrossWorkerCounts) {
     return by_id;
   };
 
-  const std::vector<serve::PredictResponse> w1 = serve_stream(1);
-  const std::vector<serve::PredictResponse> w4 = serve_stream(4);
-  for (int i = 0; i < kRequests; ++i) {
-    const size_t n = static_cast<size_t>(i);
-    EXPECT_EQ(w4[n].labels, w1[n].labels) << "request " << i;
-    EXPECT_EQ(w4[n].depth, w1[n].depth) << "request " << i;
-    ASSERT_EQ(w4[n].probs.size(), w1[n].probs.size());
-    for (size_t j = 0; j < w1[n].probs.size(); ++j) {
-      // Bitwise float equality, not tolerance.
-      EXPECT_EQ(w4[n].probs[j], w1[n].probs[j])
-          << "request " << i << " prob " << j;
+  for (const bool cascade : {true, false}) {
+    SCOPED_TRACE(cascade ? "cascade" : "full");
+    const std::vector<serve::PredictResponse> w1 = serve_stream(1, cascade);
+    const std::vector<serve::PredictResponse> w4 = serve_stream(4, cascade);
+    for (int i = 0; i < kRequests; ++i) {
+      const size_t n = static_cast<size_t>(i);
+      EXPECT_EQ(w4[n].labels, w1[n].labels) << "request " << i;
+      EXPECT_EQ(w4[n].depth, w1[n].depth) << "request " << i;
+      ASSERT_EQ(w4[n].probs.size(), w1[n].probs.size());
+      for (size_t j = 0; j < w1[n].probs.size(); ++j) {
+        // Bitwise float equality, not tolerance.
+        EXPECT_EQ(w4[n].probs[j], w1[n].probs[j])
+            << "request " << i << " prob " << j;
+      }
     }
   }
 }
@@ -797,6 +802,56 @@ TEST_F(ServeServerTest, ReloadRejectsBadCandidatesAndKeepsServing) {
   Result<int> label = conn.ValueOrDie().PredictRow(RowFeatures(data, 0));
   ASSERT_TRUE(label.ok()) << label.status();
   EXPECT_EQ(label.ValueOrDie(), model.PredictLabels(data)[0]);
+  server.Stop();
+}
+
+TEST_F(ServeServerTest, ReloadAcceptsSameArchitectureTextCnn) {
+  // A TextCNN's first weight is its embedding table, so the fan-in derived
+  // from it (embed_dim) is not the request width (seq_len). A retrained
+  // successor of the same architecture must still be accepted.
+  TextCnnConfig cfg;
+  cfg.vocab_size = 50;
+  cfg.embed_dim = 6;
+  cfg.seq_len = 12;
+  cfg.kernel_sizes = {2, 3};
+  cfg.filters_per_size = 4;
+  cfg.num_classes = 2;
+  auto make = [&](uint64_t seed) {
+    auto m = std::make_shared<EnsembleModel>();
+    m->AddMember(std::make_unique<TextCnn>(cfg, seed), 1.5);
+    m->AddMember(std::make_unique<TextCnn>(cfg, seed + 1), 0.9);
+    return m;
+  };
+  const std::shared_ptr<EnsembleModel> first = make(1);
+  const std::shared_ptr<EnsembleModel> second = make(7);
+  Tensor tokens(Shape{4, cfg.seq_len});
+  for (int64_t i = 0; i < tokens.num_elements(); ++i) {
+    tokens.at(i) = static_cast<float>((i * 7 + 3) % cfg.vocab_size);
+  }
+  const Dataset data("tokens", tokens, std::vector<int>(4, 0),
+                     cfg.num_classes);
+  const std::vector<int> want = second->PredictLabels(data);
+
+  serve::InferenceServer server(first.get(), cfg.seq_len, cfg.num_classes,
+                                {});
+  ASSERT_TRUE(server.Start().ok());
+  const Status s = server.Reload(second, "textcnn-retrained");
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_EQ(server.generation(), 2u);
+
+  Result<serve::ServeClient> conn =
+      serve::ServeClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(conn.ok());
+  serve::PredictRequest req;
+  req.id = 1;
+  req.rows = 4;
+  req.dim = cfg.seq_len;
+  req.features.assign(tokens.data(), tokens.data() + tokens.num_elements());
+  Result<serve::PredictResponse> resp = conn.ValueOrDie().Predict(req);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_TRUE(resp.ValueOrDie().ok) << resp.ValueOrDie().error;
+  EXPECT_EQ(resp.ValueOrDie().generation, 2u);
+  EXPECT_EQ(resp.ValueOrDie().labels, want);
   server.Stop();
 }
 

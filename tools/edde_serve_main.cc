@@ -71,11 +71,8 @@ int Main(int argc, char** argv) {
   flags.Define("max_delay_ms", "2", "partial-batch deadline");
   flags.Define("max_request_rows", "1024", "per-request row cap");
   flags.Define("workers", "1",
-               "batch workers consuming the admission queue; >1 also "
-               "pipelines cascade member stages across workers");
-  flags.Define("max_inflight", "0",
-               "batches in flight at once (0 = auto: 1 for one worker, "
-               "2x workers otherwise)");
+               "batch workers running member stages; >1 overlaps stages "
+               "of up to 2x workers batches in flight");
   flags.Define("http_port", "-1",
                "observability HTTP port (/metrics /healthz /statusz); "
                "-1 = off, 0 = ephemeral");
@@ -148,7 +145,6 @@ int Main(int argc, char** argv) {
   config.max_delay_ms = flags.GetInt("max_delay_ms");
   config.max_request_rows = flags.GetInt("max_request_rows");
   config.num_batch_workers = flags.GetInt("workers");
-  config.max_inflight_batches = flags.GetInt("max_inflight");
   config.http_port = flags.GetInt("http_port");
   config.max_request_ms = flags.GetInt("max_request_ms");
   config.shed_queue_age_ms = flags.GetInt("shed_queue_age_ms");
